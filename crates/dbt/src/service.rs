@@ -2,10 +2,9 @@
 //! of translation products, shared by every engine that runs the same
 //! guest program.
 //!
-//! The harness historically re-translated every program from scratch for
-//! each `(program, policy)` run of a sweep, although translations are pure
-//! functions of their inputs. Salsa-style, the service models the compile
-//! pipeline as two demand-driven queries and memoizes both:
+//! Translations are pure functions of their inputs, so, salsa-style, the
+//! service models the compile pipeline as two demand-driven queries and
+//! memoizes both:
 //!
 //! * the **analysis query** — guest path → validated IR block, dependency
 //!   graph and (for optimised superblocks) the `spectaint` leakage verdict.
@@ -17,18 +16,14 @@
 //!   speculate and take no mitigation, so their codegen is shared across
 //!   all policies as well.
 //!
-//! Entries are grouped per program fingerprint (see
-//! [`Program::fingerprint`](dbt_riscv::Program)) behind `Arc`s; eviction is
-//! bounded and least-recently-used at program granularity. Every query
-//! resolves to exactly one compile process-wide, even when several sweep
-//! workers demand the same key concurrently (late askers block on the
-//! winner's `OnceLock`), so hit/miss counters are deterministic for a given
-//! job list regardless of thread count — *as long as the resident program
-//! set stays within the capacity bound*. Once eviction engages under
-//! concurrency, the LRU victim depends on thread timing and evicted
-//! programs re-miss, so deterministic counters require a capacity at least
-//! as large as the working set (the default, [`DEFAULT_SERVICE_CAPACITY`],
-//! is far above any standard sweep).
+//! Both live in [`ContentCache`]s per program fingerprint (see
+//! [`Program::fingerprint`](dbt_riscv::Program)), under an outer cache that
+//! evicts least-recently-used *programs*. Every query resolves to exactly
+//! one compile process-wide, so hit/miss counters are deterministic for a
+//! given job list regardless of thread count — as long as the resident
+//! programs fit the capacity bound ([`DEFAULT_SERVICE_CAPACITY`] is far
+//! above any standard sweep); under concurrent eviction, the victim
+//! depends on thread timing and evicted programs re-miss.
 
 use crate::codegen::generate;
 use crate::config::DbtConfig;
@@ -40,15 +35,13 @@ use crate::translate::translate_path;
 use dbt_ir::{BlockKind, DepGraph, DfgOptions, InstId, IrBlock};
 use dbt_obs::{Histogram, MetricsRegistry, Span, StageSpan, DEFAULT_LATENCY_BOUNDS_MICROS};
 use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::PersistStore;
+use dbt_persist::{CacheCounters, Codec, ContentCache, PersistStore, Tier};
 use dbt_vliw::TranslatedBlock;
 use ghostbusters::{apply_with_verdict, MitigationPolicy, MitigationReport};
 use spectaint::{Gadget, LeakageVerdict, TaintSource, TaintSourceKind};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Entry kind the service uses in the durable store: the `spectaint`
 /// leakage verdict of one analysis product.
@@ -140,6 +133,21 @@ fn decode_verdict(bytes: &[u8]) -> Option<LeakageVerdict> {
         gadgets,
     })
 }
+
+/// Why a persisted verdict is not believed (undecodable or contradicted).
+const VERDICT_REJECTED: &str = "verdict payload contradicts the translated block";
+
+/// The verdict store seen through [`VERDICT_CODEC`].
+type VerdictTier = Tier<(u64, u64), LeakageVerdict>;
+
+/// The service's durable codec: verdicts keyed by (program fingerprint,
+/// analysis key).
+const VERDICT_CODEC: Codec<(u64, u64), LeakageVerdict> = Codec {
+    kind: VERDICT_KIND,
+    key_hex: |&(program, analysis)| verdict_key_hex(program, analysis),
+    encode: |verdict| Some(encode_verdict(verdict)),
+    decode: |_, bytes| decode_verdict(bytes).ok_or(VERDICT_REJECTED.to_string()),
+};
 
 /// Result of the analysis query: the translated IR block, its unhardened
 /// dependency graph and, for optimised superblocks, the leakage verdict.
@@ -266,10 +274,17 @@ fn effective_options(config: &DbtConfig, kind: BlockKind) -> DfgOptions {
 
 /// Runs the analysis stage of the compile pipeline (translate, validate,
 /// dependency graph, taint verdict). Pure: depends only on its arguments.
+///
+/// With a verdict tier (and the verdict's key), the taint verdict — the
+/// expensive part — is read through from the tier and written behind when
+/// computed fresh. A persisted verdict whose entry pc or block length
+/// contradicts the freshly built block is quarantined and recomputed, so a
+/// wrong entry can never steer mitigation.
 fn run_analysis(
     path: &GuestPath,
     kind: BlockKind,
     options: DfgOptions,
+    verdicts: Option<(&VerdictTier, (u64, u64))>,
 ) -> Result<AnalysisProduct, DbtError> {
     let block = translate_path(path, kind);
     block.validate().map_err(|reason| DbtError::InvalidBlock { pc: block.entry_pc(), reason })?;
@@ -277,49 +292,21 @@ fn run_analysis(
     // The taint analysis must see the original relaxable edges, so it runs
     // on the graph before any mitigation hardens it. Basic-tier blocks
     // never speculate, hence there is nothing for it to see.
-    let verdict = matches!(kind, BlockKind::Superblock { .. })
-        .then(|| Arc::new(spectaint::analyze(&block, &graph)));
-    Ok(AnalysisProduct { ir: Arc::new(block), graph: Arc::new(graph), verdict })
-}
-
-/// [`run_analysis`] backed by a durable tier: the taint verdict — the
-/// expensive part of the stage, and a pure function of the (translated,
-/// validated) block and its unhardened graph — is read through from the
-/// store when a previous incarnation published it, and written behind
-/// when computed fresh. Translation, validation and graph building
-/// always run (they are cheap and their product is what the verdict is
-/// checked against): a persisted verdict whose entry pc or block length
-/// contradicts the freshly built block is quarantined and recomputed,
-/// so a wrong entry can never steer mitigation.
-fn run_analysis_persist(
-    tier: &PersistStore,
-    program_fingerprint: u64,
-    analysis_key: u64,
-    path: &GuestPath,
-    kind: BlockKind,
-    options: DfgOptions,
-) -> Result<AnalysisProduct, DbtError> {
-    let block = translate_path(path, kind);
-    block.validate().map_err(|reason| DbtError::InvalidBlock { pc: block.entry_pc(), reason })?;
-    let graph = DepGraph::build(&block, options);
     let verdict = matches!(kind, BlockKind::Superblock { .. }).then(|| {
-        let key = verdict_key_hex(program_fingerprint, analysis_key);
-        if let Some(bytes) = tier.get(VERDICT_KIND, &key) {
-            match decode_verdict(&bytes) {
-                Some(verdict)
-                    if verdict.entry_pc == block.entry_pc() && verdict.block_len == block.len() =>
-                {
-                    return Arc::new(verdict);
-                }
-                _ => tier.quarantine(
-                    VERDICT_KIND,
-                    &key,
-                    "verdict payload contradicts the translated block",
-                ),
+        let Some((tier, key)) = verdicts else {
+            return Arc::new(spectaint::analyze(&block, &graph));
+        };
+        match tier.read(&key) {
+            Some(verdict)
+                if verdict.entry_pc == block.entry_pc() && verdict.block_len == block.len() =>
+            {
+                return Arc::new(verdict);
             }
+            Some(_) => tier.quarantine(&key, VERDICT_REJECTED),
+            None => {}
         }
         let verdict = spectaint::analyze(&block, &graph);
-        tier.put(VERDICT_KIND, &key, &encode_verdict(&verdict));
+        tier.write(&key, &verdict);
         Arc::new(verdict)
     });
     Ok(AnalysisProduct { ir: Arc::new(block), graph: Arc::new(graph), verdict })
@@ -360,23 +347,19 @@ pub(crate) fn compile_path(
     path: &GuestPath,
     kind: BlockKind,
 ) -> Result<CompileProduct, DbtError> {
-    let analysis = run_analysis(path, kind, effective_options(config, kind))?;
+    let analysis = run_analysis(path, kind, effective_options(config, kind), None)?;
     run_codegen(&analysis, config.policy, config.issue_width)
 }
 
-/// One cache slot: filled exactly once, shared between waiting threads.
-type Slot<T> = Arc<OnceLock<Result<T, DbtError>>>;
-
-/// Memoized queries of one guest program.
-#[derive(Debug, Default)]
-struct ProgramTranslations {
-    analyses: Mutex<HashMap<u64, Slot<AnalysisProduct>>>,
-    codegens: Mutex<HashMap<u64, Slot<CompileProduct>>>,
-    last_used: AtomicU64,
+/// Memoized queries of one guest program. Both caches count into the
+/// service's query counters, which outlive any evicted program.
+#[derive(Debug)]
+struct ProgramQueries {
+    analyses: ContentCache<u64, Result<AnalysisProduct, DbtError>>,
+    codegens: ContentCache<u64, Result<CompileProduct, DbtError>>,
 }
 
-/// Resolved phase-timing handles (one histogram per compile stage);
-/// present only on services built with
+/// Phase-timing histograms of services built with
 /// [`TranslationService::with_metrics`].
 #[derive(Debug)]
 struct ServiceMetrics {
@@ -416,19 +399,14 @@ impl ServiceMetrics {
 /// ```
 #[derive(Debug)]
 pub struct TranslationService {
-    capacity: usize,
-    programs: Mutex<HashMap<u64, Arc<ProgramTranslations>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
+    programs: ContentCache<u64, Arc<ProgramQueries>>,
+    queries: Arc<CacheCounters>,
     metrics: Option<ServiceMetrics>,
-    persist: Option<Arc<PersistStore>>,
+    verdicts: Option<VerdictTier>,
 }
 
-/// Default bound on resident program entries. Far above any standard sweep
-/// (14 workloads + attack variants), so bounded eviction only engages in
-/// genuinely long-lived services.
+/// Default bound on resident program entries: far above any standard sweep,
+/// so eviction only engages in genuinely long-lived services.
 pub const DEFAULT_SERVICE_CAPACITY: usize = 128;
 
 impl TranslationService {
@@ -465,12 +443,9 @@ impl TranslationService {
     /// [`TranslationService::with_metrics`] plus a durable tier for the
     /// expensive analysis artifact: the `spectaint` leakage verdict of
     /// every optimised superblock is read through from (and written
-    /// behind to) `persist`, keyed by program fingerprint + analysis
-    /// key. The verdict drives selective mitigation, so a warm disk
-    /// tier lets a restarted daemon skip re-running the taint analysis
-    /// while producing byte-identical products — entries that fail to
-    /// decode, or whose block coordinates contradict the freshly
-    /// translated block, are quarantined and recomputed.
+    /// behind to) `persist`, keyed by program fingerprint + analysis key,
+    /// so a restarted daemon skips the taint analysis while producing
+    /// byte-identical products.
     pub fn with_metrics_and_persist(
         registry: &MetricsRegistry,
         persist: Arc<PersistStore>,
@@ -487,79 +462,19 @@ impl TranslationService {
         metrics: Option<ServiceMetrics>,
         persist: Option<Arc<PersistStore>>,
     ) -> Arc<TranslationService> {
-        assert!(capacity >= 1, "the translation service needs room for at least one program");
         Arc::new(TranslationService {
-            capacity,
-            programs: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
+            programs: ContentCache::new(capacity),
+            queries: Arc::default(),
             metrics,
-            persist,
+            verdicts: persist.map(|store| Tier::new(store, VERDICT_CODEC)),
         })
-    }
-
-    /// The process-wide shared service.
-    pub fn global() -> Arc<TranslationService> {
-        static GLOBAL: OnceLock<Arc<TranslationService>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(TranslationService::new))
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            hits: self.hits.load(Ordering::SeqCst),
-            misses: self.misses.load(Ordering::SeqCst),
-            programs: self.programs.lock().expect("service poisoned").len(),
-            evictions: self.evictions.load(Ordering::SeqCst),
-        }
-    }
-
-    /// The resident program entry for `fingerprint`, creating (and, if the
-    /// capacity bound is exceeded, evicting the least recently used other
-    /// entry) as needed.
-    fn program_entry(&self, fingerprint: u64) -> Arc<ProgramTranslations> {
-        let mut programs = self.programs.lock().expect("service poisoned");
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let entry = Arc::clone(programs.entry(fingerprint).or_default());
-        entry.last_used.store(tick, Ordering::SeqCst);
-        if programs.len() > self.capacity {
-            let victim = programs
-                .iter()
-                .filter(|(fp, _)| **fp != fingerprint)
-                .min_by_key(|(fp, e)| (e.last_used.load(Ordering::SeqCst), **fp))
-                .map(|(fp, _)| *fp);
-            if let Some(victim) = victim {
-                programs.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        entry
-    }
-
-    /// Resolves one memoized query: returns the cached value for `key` or
-    /// computes it exactly once process-wide, counting a hit or a miss.
-    fn query<T: Clone>(
-        &self,
-        slots: &Mutex<HashMap<u64, Slot<T>>>,
-        key: u64,
-        compute: impl FnOnce() -> Result<T, DbtError>,
-    ) -> (Result<T, DbtError>, bool) {
-        let slot = Arc::clone(slots.lock().expect("service poisoned").entry(key).or_default());
-        let mut computed = false;
-        let result = slot
-            .get_or_init(|| {
-                computed = true;
-                compute()
-            })
-            .clone();
-        if computed {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.hits.fetch_add(1, Ordering::SeqCst);
-        }
-        (result, !computed)
+        let (hits, misses) = self.queries.hits_and_misses();
+        let programs = self.programs.stats();
+        ServiceStats { hits, misses, programs: programs.entries, evictions: programs.evictions }
     }
 
     /// Translates `path` for the program identified by `program_fingerprint`
@@ -576,7 +491,12 @@ impl TranslationService {
         path: &GuestPath,
         kind: BlockKind,
     ) -> Result<Translated, DbtError> {
-        let entry = self.program_entry(program_fingerprint);
+        let (entry, _) = self.programs.get_or_fill(program_fingerprint, || {
+            Arc::new(ProgramQueries {
+                analyses: ContentCache::new(usize::MAX).with_counters(Arc::clone(&self.queries)),
+                codegens: ContentCache::new(usize::MAX).with_counters(Arc::clone(&self.queries)),
+            })
+        });
         let options = effective_options(config, kind);
         let optimised = matches!(kind, BlockKind::Superblock { .. });
         let path_fp = path_fingerprint(path, kind);
@@ -585,21 +505,13 @@ impl TranslationService {
         // its key and every policy shares the product.
         let policy = optimised.then_some(config.policy);
         let codegen_key = hash64(&(analysis_key, policy, config.issue_width));
-        let (product, cache_hit) = self.query(&entry.codegens, codegen_key, || {
-            let (analysis, _) = self.query(&entry.analyses, analysis_key, || {
+        let (product, cache_hit) = entry.codegens.get_or_fill(codegen_key, || {
+            let (analysis, _) = entry.analyses.get_or_fill(analysis_key, || {
                 let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
                 let _stage = StageSpan::enter("translate.analysis");
-                match &self.persist {
-                    None => run_analysis(path, kind, options),
-                    Some(tier) => run_analysis_persist(
-                        tier,
-                        program_fingerprint,
-                        analysis_key,
-                        path,
-                        kind,
-                        options,
-                    ),
-                }
+                let verdict_tier = self.verdicts.as_ref();
+                let verdicts = verdict_tier.map(|tier| (tier, (program_fingerprint, analysis_key)));
+                run_analysis(path, kind, options, verdicts)
             });
             let analysis = analysis?;
             let _span = self.metrics.as_ref().map(|m| Span::on(&m.codegen_seconds));
@@ -700,28 +612,6 @@ mod tests {
         // Program 1 was the least recently used and must re-translate.
         let again = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
         assert!(!again.cache_hit);
-    }
-
-    #[test]
-    fn failing_compiles_are_memoized_as_errors() {
-        let (mem, entry) = straightline_memory();
-        let service = TranslationService::new();
-        let path = basic_path(&mem, entry);
-        // An impossible schedule width cannot be constructed through the
-        // public config (is_valid rejects 0), so check error propagation by
-        // translating under a valid config and asserting the Ok path — and
-        // assert that a second ask for the same key does not recompile.
-        let config = DbtConfig::unprotected();
-        assert!(service.translate(1, &config, &path, BlockKind::Basic).is_ok());
-        let misses = service.stats().misses;
-        assert!(service.translate(1, &config, &path, BlockKind::Basic).is_ok());
-        assert_eq!(service.stats().misses, misses, "no recompilation for a cached key");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one program")]
-    fn zero_capacity_is_rejected() {
-        let _ = TranslationService::with_capacity(0);
     }
 
     #[test]

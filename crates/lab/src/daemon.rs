@@ -33,10 +33,7 @@ use crate::registry::Registry;
 use crate::scenario::{PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind};
 use dbt_obs::{EventLog, LogLevel, MetricsRegistry};
 use dbt_persist::{PersistEvent, PersistStats, PersistStore};
-use dbt_platform::{
-    ProgramRef, ProgramStore, RunMemo, TranslationService, DEFAULT_MEMO_CAPACITY,
-    DEFAULT_STORE_CAPACITY,
-};
+use dbt_platform::{ProgramRef, ProgramStore, RunMemo, TranslationService};
 use dbt_riscv::Program;
 use dbt_serve::{LabBackend, ProgramSource, RunKnobs};
 use dbt_workloads::WorkloadSize;
@@ -160,8 +157,8 @@ impl LabDaemon {
                 }
                 (
                     TranslationService::with_metrics_and_persist(&obs, Arc::clone(&tier)),
-                    RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier)),
-                    ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier)),
+                    RunMemo::with_persist(Arc::clone(&tier)),
+                    ProgramStore::with_persist(Arc::clone(&tier)),
                     Some(tier),
                     Some(events),
                 )

@@ -21,11 +21,11 @@ use crate::scenario::{Scenario, ScenarioKind};
 use dbt_obs::{
     Histogram, MetricsRegistry, Span, StageSpan, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
 };
+use dbt_persist::ContentCache;
 use dbt_platform::{CachedRun, RunKey, RunMemo, Session, TranslationService};
 use ghostbusters::MitigationPolicy;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Metric family of the executor's wall-clock phase timings, labelled by
 /// `phase` (currently just `simulate`; the translation phases live under
@@ -164,10 +164,6 @@ pub struct LabReport {
     pub stats: ExecStats,
 }
 
-/// One run-cache entry: filled exactly once, shared between waiting
-/// workers.
-type BaselineSlot = Arc<OnceLock<Result<CachedRun, String>>>;
-
 /// Shared state of one sweep: the translation service every session of the
 /// sweep attaches to, the memoized unprotected baseline runs (the historic
 /// standalone `BaselineCache`, folded in here), an optional cross-sweep
@@ -175,12 +171,12 @@ type BaselineSlot = Arc<OnceLock<Result<CachedRun, String>>>;
 /// simulation counters.
 ///
 /// All memo levels are exactly-once under concurrency: late askers block
-/// on the winner's `OnceLock`, so the counters are deterministic for a
-/// given job list regardless of worker count.
+/// on the winner's [`ContentCache`] fill, so the counters are
+/// deterministic for a given job list regardless of worker count.
 struct SweepContext {
     service: Arc<TranslationService>,
     memo: Option<Arc<RunMemo>>,
-    baselines: Mutex<HashMap<String, BaselineSlot>>,
+    baselines: ContentCache<String, Result<CachedRun, String>>,
     baseline_sims: AtomicUsize,
     sims: AtomicUsize,
     translation_hits: AtomicU64,
@@ -200,7 +196,7 @@ impl SweepContext {
         SweepContext {
             service,
             memo,
-            baselines: Mutex::new(HashMap::new()),
+            baselines: ContentCache::new(usize::MAX),
             baseline_sims: AtomicUsize::new(0),
             sims: AtomicUsize::new(0),
             translation_hits: AtomicU64::new(0),
@@ -293,9 +289,7 @@ impl SweepContext {
         key: String,
         simulate: impl FnOnce() -> Result<CachedRun, String>,
     ) -> Result<CachedRun, String> {
-        let slot =
-            self.baselines.lock().expect("baseline cache poisoned").entry(key).or_default().clone();
-        slot.get_or_init(simulate).clone()
+        self.baselines.get_or_fill(key, simulate).0
     }
 }
 

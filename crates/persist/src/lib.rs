@@ -19,17 +19,23 @@
 //! wholesale, and a byte-budget LRU GC (by access-stamped mtime) bounds
 //! the directory.
 //!
+//! The crate also holds the in-memory side: [`ContentCache`], the one
+//! bounded, exactly-once cache every memoizing layer is built on, which
+//! tiers onto a [`PersistStore`] through a per-layer [`Codec`].
+//!
 //! The crate is bottom-level and std-only: it knows nothing about
 //! programs, runs or verdicts — callers bring their own binary codecs
 //! (the [`codec`] module has the length-prefixed reader/writer they
-//! share) and their own counters glue.
+//! share) and the names their stats use.
 //!
 //! **Determinism invariant**: the store caches *pure functions of the
 //! key*. A hit returns exactly the bytes a recompute would produce, so
 //! responses are byte-identical whatever the cache warmth; only
 //! wall-clock and `*_persist_*` counters may differ.
 
+mod cache;
 pub mod codec;
 mod store;
 
+pub use cache::{CacheCounters, CacheStats, Codec, ContentCache, Tier};
 pub use store::{GcOutcome, PersistEvent, PersistStats, PersistStore, ENTRY_SCHEMA, ENTRY_VERSION};

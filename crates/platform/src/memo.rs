@@ -1,46 +1,31 @@
 //! The content-addressed run-summary memo: whole simulated runs, cached.
 //!
-//! The [`TranslationService`](crate::TranslationService) already memoizes
-//! *translations* across runs, but a repeated identical scenario still pays
-//! the full simulation: every block is re-executed cycle by cycle. A run,
-//! however, is as pure as a compile — the platform is a deterministic
-//! simulator, so the observables of a run are a function of exactly two
-//! inputs: the guest program bytes and the platform configuration. The
-//! [`RunMemo`] closes that gap with a content-addressed cache:
+//! The platform is a deterministic simulator, so a run is as pure as a
+//! compile: its observables are a function of the guest program bytes and
+//! the platform configuration. The [`RunMemo`] caches them:
 //!
 //! * the **key** ([`RunKey`]) is `(program fingerprint, config
 //!   fingerprint)` — the config fingerprint covers the mitigation policy,
-//!   every DBT and core parameter (speculation options, issue width, cache
-//!   geometry, MCB capacity, rollback penalty) and the block budget, so two
-//!   equal keys describe byte-identical simulations;
+//!   every DBT and core parameter and the block budget, so two equal keys
+//!   describe byte-identical simulations;
 //! * the **value** ([`CachedRun`]) is the [`RunSummary`] plus the
 //!   mitigation pattern count and (for attack programs) the bytes the
 //!   side channel recovered — everything a lab report needs from a run;
-//! * each key resolves to exactly **one simulation process-wide**: late
-//!   askers block on the winner's `OnceLock` slot, so the hit/miss
-//!   counters are deterministic for a given job list regardless of how
-//!   many clients and threads demand it.
-//!
-//! The memo is the second cache level of the `dbt-serve` daemon (the
-//! translation service being the first): a fleet of clients submitting the
-//! same scenarios pays one simulation per distinct scenario, and every
-//! repeat is answered from the memo.
+//! * the memo is a [`ContentCache`], so each key resolves to exactly
+//!   **one simulation process-wide** and the hit/miss counters are
+//!   deterministic for a given job list, however many threads ask.
 //!
 //! With a durable tier attached ([`RunMemo::with_persist`]), a miss
 //! consults the on-disk store before simulating and publishes fresh
-//! results behind the write: a restarted daemon answers its old working
-//! set from disk without simulating anything. The hit/miss counters are
-//! **unchanged** by the tier — a disk hit still counts as a memo miss
-//! (the in-memory slot had to be filled), so a given job list produces
-//! byte-identical stats whatever the disk warmth; only the persist
+//! results behind the write, so a restarted daemon answers its old working
+//! set without simulating. A disk hit still counts as a memo miss, so
+//! stats are byte-identical whatever the disk warmth; only the persist
 //! store's own counters (and the simulation count) reveal the tier.
 
 use crate::processor::RunSummary;
 use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::PersistStore;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use dbt_persist::{Codec, ContentCache, PersistStore};
+use std::sync::Arc;
 
 /// Entry kind the memo uses in the durable store.
 const RUN_KIND: &str = "run";
@@ -93,11 +78,20 @@ fn decode_cached_run(bytes: &[u8]) -> Option<CachedRun> {
     r.done().then_some(CachedRun { summary, patterns, recovered })
 }
 
+/// The memo's durable codec: successful runs only, keyed by both
+/// fingerprints.
+const RUN_CODEC: Codec<RunKey, Result<CachedRun, String>> = Codec {
+    kind: RUN_KIND,
+    key_hex: |key| run_key_hex(*key),
+    encode: |run| run.as_ref().ok().map(encode_cached_run),
+    decode: |_, bytes| decode_cached_run(bytes).map(Ok).ok_or("run payload decode failed".into()),
+};
+
 /// Content address of one run: program fingerprint × config fingerprint.
 ///
 /// Built by [`RunKey::new`] from the actual program and configuration, so
 /// a key cannot be constructed from stale inputs by accident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunKey {
     /// [`Program::fingerprint`](dbt_riscv::Program::fingerprint) of the
     /// guest program.
@@ -179,30 +173,13 @@ impl MemoStats {
     }
 }
 
-/// One memo slot: filled exactly once, shared between waiting threads,
-/// with a last-use tick for LRU eviction.
-#[derive(Debug, Default)]
-struct MemoSlot {
-    cell: OnceLock<Result<CachedRun, String>>,
-    last_used: AtomicU64,
-}
-
-type Slot = Arc<MemoSlot>;
-
-/// Default bound on resident entries. Entries are tiny (a summary, two
-/// counters and at most a secret's worth of bytes), so the bound is far
-/// above any standard sweep — it exists so a daemon facing an unbounded
-/// scenario space (ad-hoc program uploads) cannot grow without limit.
+/// Default bound on resident entries: far above any standard sweep, so
+/// that only an unbounded scenario space (ad-hoc uploads) ever evicts.
 pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 
-/// The content-addressed, thread-safe run-summary memo.
-///
-/// The memo is bounded: beyond the capacity, the least recently used
-/// entry is evicted (the same scheme the `TranslationService` uses at
-/// program granularity). The hit/miss counters stay deterministic for a
-/// given job list as long as the distinct-key working set fits the
-/// capacity — once eviction engages under concurrency, the victim depends
-/// on thread timing and evicted keys re-miss.
+/// The content-addressed, thread-safe run-summary memo, bounded to a
+/// capacity of least-recently-used entries. Its counters stay
+/// deterministic while the distinct-key working set fits the capacity.
 ///
 /// ```
 /// use dbt_platform::{CachedRun, RunKey, RunMemo, RunSummary};
@@ -227,27 +204,7 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 /// ```
 #[derive(Debug)]
 pub struct RunMemo {
-    capacity: usize,
-    slots: Mutex<HashMap<RunKey, Slot>>,
-    persist: Option<Arc<PersistStore>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-}
-
-impl Default for RunMemo {
-    fn default() -> RunMemo {
-        RunMemo {
-            capacity: DEFAULT_MEMO_CAPACITY,
-            slots: Mutex::new(HashMap::new()),
-            persist: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-        }
-    }
+    runs: ContentCache<RunKey, Result<CachedRun, String>>,
 }
 
 impl RunMemo {
@@ -264,62 +221,27 @@ impl RunMemo {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Arc<RunMemo> {
-        assert!(capacity >= 1, "the run memo needs room for at least one entry");
-        Arc::new(RunMemo { capacity, ..RunMemo::default() })
+        Arc::new(RunMemo { runs: ContentCache::new(capacity) })
     }
 
-    /// [`RunMemo::with_capacity`] plus a durable tier: misses consult
+    /// A default-capacity memo over a durable tier: misses consult
     /// `persist` before simulating, fresh successful results are
     /// published behind the write, and entries that fail to decode are
     /// quarantined and recomputed. Failed runs are memoized in memory
     /// only — an error is never written to disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_persist(capacity: usize, persist: Arc<PersistStore>) -> Arc<RunMemo> {
-        assert!(capacity >= 1, "the run memo needs room for at least one entry");
-        Arc::new(RunMemo { capacity, persist: Some(persist), ..RunMemo::default() })
+    pub fn with_persist(persist: Arc<PersistStore>) -> Arc<RunMemo> {
+        let runs = ContentCache::new(DEFAULT_MEMO_CAPACITY).with_tier(persist, RUN_CODEC);
+        Arc::new(RunMemo { runs })
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::SeqCst),
-            misses: self.misses.load(Ordering::SeqCst),
-            entries: self.slots.lock().expect("run memo poisoned").len(),
-            evictions: self.evictions.load(Ordering::SeqCst),
-        }
-    }
-
-    /// The slot for `key`, creating it (and evicting the least recently
-    /// used *other* entry if the capacity bound is exceeded) as needed.
-    fn slot(&self, key: RunKey) -> Slot {
-        let mut slots = self.slots.lock().expect("run memo poisoned");
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let slot = Arc::clone(slots.entry(key).or_default());
-        slot.last_used.store(tick, Ordering::SeqCst);
-        if slots.len() > self.capacity {
-            let victim = slots
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, s)| (s.last_used.load(Ordering::SeqCst), k.program, k.config))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                slots.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        slot
+        let s = self.runs.stats();
+        MemoStats { hits: s.hits, misses: s.misses, entries: s.entries, evictions: s.evictions }
     }
 
     /// Returns the cached run for `key`, simulating it (exactly once
-    /// process-wide, via `run`) if it is not resident yet. With a durable
-    /// tier attached, the disk is consulted before `run` — a valid disk
-    /// entry fills the slot without simulating (still counted as a memo
-    /// miss, see the module docs), and a fresh result is published to
-    /// disk behind the write.
-    ///
+    /// process-wide, via `run`) if it is neither resident nor on disk.
     /// Failed runs are memoized too: a scenario that errors once errors
     /// identically — and cheaply — on every repeat.
     ///
@@ -331,52 +253,13 @@ impl RunMemo {
         key: RunKey,
         run: impl FnOnce() -> Result<CachedRun, String>,
     ) -> Result<CachedRun, String> {
-        let slot = self.slot(key);
-        let mut computed = false;
-        let result = slot
-            .cell
-            .get_or_init(|| {
-                computed = true;
-                if let Some(tier) = &self.persist {
-                    if let Some(cached) = read_through(tier, key) {
-                        return Ok(cached);
-                    }
-                }
-                let result = run();
-                if let (Some(tier), Ok(cached)) = (&self.persist, &result) {
-                    tier.put(RUN_KIND, &run_key_hex(key), &encode_cached_run(cached));
-                }
-                result
-            })
-            .clone();
-        if computed {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.hits.fetch_add(1, Ordering::SeqCst);
-        }
-        result
-    }
-}
-
-/// The disk side of a memo miss: a framed entry that decodes is the run;
-/// one that does not is quarantined (semantic reject — the store's own
-/// checksum passed) so the simulation can re-publish cleanly.
-fn read_through(tier: &PersistStore, key: RunKey) -> Option<CachedRun> {
-    let hex = run_key_hex(key);
-    let bytes = tier.get(RUN_KIND, &hex)?;
-    match decode_cached_run(&bytes) {
-        Some(cached) => Some(cached),
-        None => {
-            tier.quarantine(RUN_KIND, &hex, "run payload decode failed");
-            None
-        }
+        self.runs.get_or_fill(key, run).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn sample_run(cycles: u64) -> CachedRun {
         CachedRun {
@@ -400,6 +283,10 @@ mod tests {
         assert_ne!(a.summary.cycles, b.summary.cycles);
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        assert_eq!(
+            stats.to_json(),
+            "{\"hits\": 0, \"misses\": 2, \"entries\": 2, \"evictions\": 0}"
+        );
     }
 
     #[test]
@@ -410,36 +297,7 @@ mod tests {
         assert_eq!(first, Err("boom".to_string()));
         let second = memo.get_or_run(key, || panic!("must not re-run a failed key"));
         assert_eq!(second, Err("boom".to_string()));
-        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
-    }
-
-    #[test]
-    fn concurrent_askers_simulate_exactly_once() {
-        let memo = RunMemo::new();
-        let runs = AtomicUsize::new(0);
-        let key = RunKey { program: 3, config: 4 };
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let got = memo
-                        .get_or_run(key, || {
-                            runs.fetch_add(1, Ordering::SeqCst);
-                            Ok(sample_run(42))
-                        })
-                        .unwrap();
-                    assert_eq!(got.summary.cycles, 42);
-                });
-            }
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "late askers must block on the winner");
-        let stats = memo.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 7);
-        assert!((stats.hit_rate() - 7.0 / 8.0).abs() < 1e-12);
-        assert_eq!(
-            stats.to_json(),
-            "{\"hits\": 7, \"misses\": 1, \"entries\": 1, \"evictions\": 0}"
-        );
+        assert_eq!((memo.stats().hits, memo.stats().misses, memo.stats().hit_rate()), (1, 1, 0.5));
     }
 
     #[test]
@@ -508,13 +366,13 @@ mod tests {
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let key = RunKey { program: 0xabc, config: 0xdef };
         let first = {
-            let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+            let memo = RunMemo::with_persist(Arc::clone(&tier));
             memo.get_or_run(key, || Ok(sample_run(77))).unwrap()
         };
         // A new memo (a restarted daemon) over the same root: the run
         // comes back identical with the closure never invoked.
         let tier2 = dbt_persist::PersistStore::open(&root).unwrap();
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier2));
+        let memo = RunMemo::with_persist(Arc::clone(&tier2));
         let again =
             memo.get_or_run(key, || panic!("a warm disk tier must not re-simulate")).unwrap();
         assert_eq!(first, again);
@@ -535,12 +393,12 @@ mod tests {
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let key = RunKey { program: 1, config: 2 };
         {
-            let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+            let memo = RunMemo::with_persist(Arc::clone(&tier));
             assert!(memo.get_or_run(key, || Err("boom".to_string())).is_err());
         }
         assert_eq!(tier.stats().writes, 0);
         // A restarted memo re-runs the failed key.
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_persist(Arc::clone(&tier));
         let ok = memo.get_or_run(key, || Ok(sample_run(5))).unwrap();
         assert_eq!(ok.summary.cycles, 5);
         std::fs::remove_dir_all(&root).unwrap();
@@ -553,12 +411,12 @@ mod tests {
         let key = RunKey { program: 0x11, config: 0x22 };
         // Plant a store-valid entry whose payload is not a cached run.
         assert!(tier.put(RUN_KIND, &run_key_hex(key), b"not a run payload"));
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_persist(Arc::clone(&tier));
         let got = memo.get_or_run(key, || Ok(sample_run(8))).unwrap();
         assert_eq!(got.summary.cycles, 8, "the recompute answered");
         assert_eq!(tier.stats().corrupt_quarantined, 1);
         // The recompute re-published; a fresh memo now reads it back.
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_persist(Arc::clone(&tier));
         let again = memo.get_or_run(key, || panic!("republished")).unwrap();
         assert_eq!(got, again);
         std::fs::remove_dir_all(&root).unwrap();

@@ -1,36 +1,26 @@
 //! Program addressing: [`ProgramRef`] and the content-addressed, shared
-//! [`ProgramStore`].
-//!
-//! Until this layer existed, every consumer of a guest program named it by
-//! an ad-hoc string bound to the in-repo registry — there was no way to
-//! hand the platform a program it had not compiled in. The store makes
-//! **programs data**:
+//! [`ProgramStore`], which make **programs data**:
 //!
 //! * a [`ProgramRef`] is how requests *name* a program: a registry entry
 //!   (`registry:<name>`, or a bare name), an already-resident content
 //!   fingerprint (`fp:<16-hex>`), or inline source (text assembly or a
 //!   program-image JSON document);
-//! * the [`ProgramStore`] is where programs *live*: a thread-safe map from
-//!   [`Program::fingerprint`] to the immutable program behind an `Arc`.
-//!   Identical uploads deduplicate to one entry (the second submission is
-//!   a `dedup` hit); registry entries are seeded **lazily** — the builder
-//!   closure registered for a name runs at most once process-wide, on the
-//!   first resolve that asks for it.
+//! * the [`ProgramStore`] is where programs *live*: a [`ContentCache`] from
+//!   [`Program::fingerprint`] to the immutable program. Identical uploads
+//!   deduplicate to one entry; registry entries are seeded **lazily** —
+//!   the builder registered for a name runs at most once process-wide.
 //!
-//! The store is the third process-wide cache level of the lab daemon,
-//! next to the `TranslationService` (translations) and the [`RunMemo`]
-//! (whole runs): all three key by the program's content fingerprint, so a
-//! program uploaded once is translated once and simulated once, however
-//! many requests name it.
-//!
-//! [`RunMemo`]: crate::RunMemo
+//! Next to the `TranslationService` and the [`RunMemo`](crate::RunMemo),
+//! the store is the lab daemon's third cache level. All three key by the
+//! program's content fingerprint, so a program uploaded once is translated
+//! once and simulated once, however many requests name it.
 
-use dbt_persist::PersistStore;
+use dbt_persist::{Codec, ContentCache, PersistStore};
 use dbt_riscv::Program;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Entry kind the store uses in the durable tier: the program-image JSON
 /// (the same text `upload` ships on the wire), keyed by the program's
@@ -41,6 +31,23 @@ const PROG_KIND: &str = "prog";
 fn prog_key_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
+
+/// The store's durable codec. An image that does not parse, or whose
+/// content fingerprint contradicts its key, is quarantined.
+const PROG_CODEC: Codec<u64, Arc<Program>> = Codec {
+    kind: PROG_KIND,
+    key_hex: |fp| prog_key_hex(*fp),
+    encode: |program| Some(program.to_image().into_bytes()),
+    decode: |fp, bytes| {
+        let image = std::str::from_utf8(bytes).map_err(|_| "program image is not UTF-8")?;
+        let program =
+            Program::from_image(image).map_err(|e| format!("program image decode failed: {e}"))?;
+        if program.fingerprint() != *fp {
+            return Err("program fingerprint contradicts entry key".to_string());
+        }
+        Ok(Arc::new(program))
+    },
+};
 
 /// How a request names a guest program.
 ///
@@ -172,29 +179,10 @@ impl StoreStats {
 }
 
 /// Builds a named registry program on first use.
-type Builder = Box<dyn Fn() -> Result<Program, String> + Send + Sync>;
+type Builder = Arc<dyn Fn() -> Result<Program, String> + Send + Sync>;
 
-/// One named entry: the builder plus a once-filled fingerprint slot, so
-/// lazy seeding happens exactly once process-wide even under concurrency.
-struct NamedEntry {
-    build: Builder,
-    seeded: OnceLock<Result<u64, String>>,
-}
-
-/// One resident program with its LRU bookkeeping. Seeded registry
-/// programs are *pinned*: their fingerprints live in once-filled
-/// [`NamedEntry`] slots that are never rebuilt, so evicting them would
-/// turn every later `registry:` resolve into a permanent error.
-struct Resident {
-    program: Arc<Program>,
-    last_used: u64,
-    pinned: bool,
-}
-
-/// Default bound on resident programs. Far above any standard workload
-/// set; it exists so a daemon facing replicated fleet uploads (the
-/// `dbt-router` copies every upload to all backends) cannot grow without
-/// limit.
+/// Default bound on resident programs: far above any standard workload
+/// set, so that only replicated fleet uploads ever evict.
 pub const DEFAULT_STORE_CAPACITY: usize = 1024;
 
 /// The thread-safe, content-addressed program store.
@@ -223,31 +211,14 @@ pub const DEFAULT_STORE_CAPACITY: usize = 1024;
 /// pinned for the store's lifetime (their builders run at most once, so
 /// an evicted seed could never come back).
 pub struct ProgramStore {
-    capacity: usize,
-    programs: Mutex<HashMap<u64, Resident>>,
-    named: Mutex<HashMap<String, Arc<NamedEntry>>>,
-    persist: Option<Arc<PersistStore>>,
+    programs: ContentCache<u64, Arc<Program>>,
+    named: Mutex<HashMap<String, Builder>>,
+    /// Lazily seeded registry programs by name: each builder runs at most
+    /// once process-wide, even under concurrency.
+    seeds: ContentCache<String, Result<Arc<Program>, String>>,
     uploads: AtomicU64,
     dedup_hits: AtomicU64,
     seeded: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-}
-
-impl Default for ProgramStore {
-    fn default() -> ProgramStore {
-        ProgramStore {
-            capacity: DEFAULT_STORE_CAPACITY,
-            programs: Mutex::new(HashMap::new()),
-            named: Mutex::new(HashMap::new()),
-            persist: None,
-            uploads: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            seeded: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-        }
-    }
 }
 
 impl fmt::Debug for ProgramStore {
@@ -263,46 +234,52 @@ impl ProgramStore {
         ProgramStore::with_capacity(DEFAULT_STORE_CAPACITY)
     }
 
-    /// A store bounded to `capacity` resident programs: beyond it, the
-    /// least recently used unpinned entry is evicted on insert. Pinned
-    /// (seeded registry) entries never count as victims, so the resident
-    /// count can exceed a capacity smaller than the registry itself.
+    /// A store bounded to `capacity` resident programs. Pinned (seeded
+    /// registry) entries never count as victims, so the resident count can
+    /// exceed a capacity smaller than the registry itself.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Arc<ProgramStore> {
-        assert!(capacity >= 1, "the program store needs room for at least one entry");
-        Arc::new(ProgramStore { capacity, ..ProgramStore::default() })
+        Arc::new(ProgramStore::build(ContentCache::new(capacity)))
     }
 
-    /// [`ProgramStore::with_capacity`] plus a durable tier: uploaded and
-    /// inline programs are published as program images behind the write,
+    /// A default-capacity store over a durable tier: uploaded and inline
+    /// programs are published as program images behind the write,
     /// [`ProgramStore::get`] misses read through to disk (so an evicted
     /// or restart-lost upload stays resolvable by `fp:` ref), and
     /// [`ProgramStore::reseed_from_persist`] restores the whole uploaded
     /// set at boot. Registry seeds are rebuilt by their builders, never
     /// persisted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_persist(capacity: usize, persist: Arc<PersistStore>) -> Arc<ProgramStore> {
-        assert!(capacity >= 1, "the program store needs room for at least one entry");
-        Arc::new(ProgramStore { capacity, persist: Some(persist), ..ProgramStore::default() })
+    pub fn with_persist(persist: Arc<PersistStore>) -> Arc<ProgramStore> {
+        let programs = ContentCache::new(DEFAULT_STORE_CAPACITY).with_tier(persist, PROG_CODEC);
+        Arc::new(ProgramStore::build(programs))
+    }
+
+    fn build(programs: ContentCache<u64, Arc<Program>>) -> ProgramStore {
+        ProgramStore {
+            programs,
+            named: Mutex::default(),
+            seeds: ContentCache::new(usize::MAX),
+            uploads: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            seeded: AtomicU64::new(0),
+        }
     }
 
     /// Registers a named registry entry. The builder runs lazily, at most
-    /// once, on the first [`ProgramStore::resolve`] that names it.
+    /// once, on the first [`ProgramStore::resolve`] that names it; a name
+    /// keeps the program that first resolve built.
     pub fn register(
         &self,
         name: &str,
         build: impl Fn() -> Result<Program, String> + Send + Sync + 'static,
     ) {
-        self.named.lock().expect("program store poisoned").insert(
-            name.to_string(),
-            Arc::new(NamedEntry { build: Box::new(build), seeded: OnceLock::new() }),
-        );
+        self.named
+            .lock()
+            .expect("program store poisoned")
+            .insert(name.to_string(), Arc::new(build));
     }
 
     /// All registered names, sorted (for error messages and listings).
@@ -315,67 +292,21 @@ impl ProgramStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
+        let programs = self.programs.stats();
         StoreStats {
-            programs: self.programs.lock().expect("program store poisoned").len(),
+            programs: programs.entries,
             uploads: self.uploads.load(Ordering::SeqCst),
             dedup_hits: self.dedup_hits.load(Ordering::SeqCst),
             seeded: self.seeded.load(Ordering::SeqCst),
-            evictions: self.evictions.load(Ordering::SeqCst),
+            evictions: programs.evictions,
         }
     }
 
-    /// Interns `program` under its content fingerprint, evicting the
-    /// least recently used unpinned *other* entry if the capacity bound
-    /// is exceeded. Returns the fingerprint and whether the content was
-    /// already resident. `pin` marks the entry as never-evictable
-    /// (sticky: a later unpinned intern of the same content keeps the
-    /// pin). `publish` writes newly resident unpinned programs behind to
-    /// the durable tier (off for boot re-seeds and disk read-throughs,
-    /// whose images are already on disk).
-    fn intern_entry(&self, program: Program, pin: bool, publish: bool) -> (u64, bool) {
-        let fp = program.fingerprint();
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let mut programs = self.programs.lock().expect("program store poisoned");
-        let mut fresh = None;
-        let resident = match programs.get_mut(&fp) {
-            Some(entry) => {
-                entry.last_used = tick;
-                entry.pinned |= pin;
-                true
-            }
-            None => {
-                let program = Arc::new(program);
-                if publish && !pin {
-                    fresh = Some(Arc::clone(&program));
-                }
-                programs.insert(fp, Resident { program, last_used: tick, pinned: pin });
-                false
-            }
-        };
-        if programs.len() > self.capacity {
-            let victim = programs
-                .iter()
-                .filter(|(k, entry)| **k != fp && !entry.pinned)
-                .min_by_key(|(k, entry)| (entry.last_used, **k))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                programs.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        drop(programs);
-        // Write-behind outside the lock: the publish is best-effort I/O
-        // and must not serialize the store.
-        if let (Some(tier), Some(program)) = (&self.persist, fresh) {
-            tier.put(PROG_KIND, &prog_key_hex(fp), program.to_image().as_bytes());
-        }
-        (fp, resident)
-    }
-
-    /// [`ProgramStore::intern_entry`] without pinning (uploads and inline
-    /// sources), published to the durable tier when one is attached.
-    fn intern(&self, program: Program) -> (u64, bool) {
-        self.intern_entry(program, false, true)
+    /// Interns `program`, returning the resident program (so a concurrent
+    /// eviction cannot lose it before the caller sees it) and whether the
+    /// content was already resident.
+    fn intern(&self, program: Program, pin: bool) -> (Arc<Program>, bool) {
+        self.programs.insert(program.fingerprint(), Arc::new(program), pin)
     }
 
     /// Submits a program (the `upload` operation). Returns its content
@@ -383,89 +314,29 @@ impl ProgramStore {
     /// already resident).
     pub fn upload(&self, program: Program) -> (u64, bool) {
         self.uploads.fetch_add(1, Ordering::SeqCst);
-        let (fp, dedup) = self.intern(program);
+        let fp = program.fingerprint();
+        let (_, dedup) = self.programs.insert(fp, Arc::new(program), false);
         if dedup {
             self.dedup_hits.fetch_add(1, Ordering::SeqCst);
         }
         (fp, dedup)
     }
 
-    /// The resident program with content fingerprint `fp`, if any.
-    /// Counts as a use for LRU purposes.
-    fn lookup(&self, fp: u64) -> Option<Arc<Program>> {
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let mut programs = self.programs.lock().expect("program store poisoned");
-        programs.get_mut(&fp).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.program)
-        })
-    }
-
     /// The program with content fingerprint `fp`, if it is resident or
-    /// (with a durable tier attached) published on disk. Counts as a use
-    /// for LRU purposes; a disk read-through re-interns the program
-    /// without re-publishing it.
+    /// (with a durable tier attached) published on disk. Counts as a use.
     pub fn get(&self, fp: u64) -> Option<Arc<Program>> {
-        if let Some(program) = self.lookup(fp) {
-            return Some(program);
-        }
-        let program = self.fetch_persisted(fp)?;
-        let (fp, _) = self.intern_entry(program, false, false);
-        self.lookup(fp)
-    }
-
-    /// Reads the image published under `fp` from the durable tier and
-    /// decodes it. An image that does not parse, or whose content
-    /// fingerprint contradicts its key, is quarantined (semantic reject —
-    /// the store's own checksum passed) and reads as a miss.
-    fn fetch_persisted(&self, fp: u64) -> Option<Program> {
-        let tier = self.persist.as_ref()?;
-        let key = prog_key_hex(fp);
-        let bytes = tier.get(PROG_KIND, &key)?;
-        let image = match std::str::from_utf8(&bytes) {
-            Ok(image) => image,
-            Err(_) => {
-                tier.quarantine(PROG_KIND, &key, "program image is not UTF-8");
-                return None;
-            }
-        };
-        let program = match Program::from_image(image) {
-            Ok(program) => program,
-            Err(err) => {
-                tier.quarantine(PROG_KIND, &key, &format!("program image decode failed: {err}"));
-                return None;
-            }
-        };
-        if program.fingerprint() != fp {
-            tier.quarantine(PROG_KIND, &key, "program fingerprint contradicts entry key");
-            return None;
-        }
-        Some(program)
+        self.programs.get(&fp)
     }
 
     /// Re-interns every program image the durable tier holds (a daemon
-    /// boot step), so the uploaded set of the previous incarnation is
-    /// resolvable by `fp:` ref immediately. Returns how many programs
-    /// were restored; unreadable images are quarantined by the normal
-    /// read path and skipped. Upload/dedup counters are untouched.
+    /// boot step) and returns how many were restored; unreadable images
+    /// are quarantined and skipped. Upload/dedup counters are untouched.
     pub fn reseed_from_persist(&self) -> usize {
-        let Some(tier) = self.persist.as_ref() else {
+        let Some(tier) = self.programs.tier() else {
             return 0;
         };
-        let mut restored = 0;
-        for key in tier.keys(PROG_KIND) {
-            let Ok(fp) = u64::from_str_radix(&key, 16) else {
-                continue;
-            };
-            if self.lookup(fp).is_some() {
-                continue;
-            }
-            if let Some(program) = self.fetch_persisted(fp) {
-                self.intern_entry(program, false, false);
-                restored += 1;
-            }
-        }
-        restored
+        let keys = tier.keys().into_iter().filter_map(|key| u64::from_str_radix(&key, 16).ok());
+        keys.filter(|fp| !self.programs.contains(fp) && self.get(*fp).is_some()).count()
     }
 
     /// Resolves a ref to its program: registry entries are lazily seeded
@@ -482,35 +353,30 @@ impl ProgramStore {
                 // Look up, then drop the lock *before* any fallible work:
                 // both the error message (`names` re-locks) and the
                 // builder below must run lock-free.
-                let entry = self.named.lock().expect("program store poisoned").get(name).cloned();
-                let entry = entry.ok_or_else(|| {
+                let build = self.named.lock().expect("program store poisoned").get(name).cloned();
+                let build = build.ok_or_else(|| {
                     format!("unknown program `{name}`; valid programs: {}", self.names().join(", "))
                 })?;
-                let fp = entry
-                    .seeded
-                    .get_or_init(|| {
-                        let program = (entry.build)()?;
-                        self.seeded.fetch_add(1, Ordering::SeqCst);
-                        // Pinned: the builder never runs again, so an
-                        // evicted seed could not be rebuilt. Never
-                        // persisted: the builder is the durable copy.
-                        Ok(self.intern_entry(program, true, false).0)
-                    })
-                    .clone()?;
-                self.get(fp).ok_or_else(|| format!("seeded program `{name}` vanished"))
+                let (seed, _) = self.seeds.get_or_fill(name.clone(), || {
+                    let program = build()?;
+                    self.seeded.fetch_add(1, Ordering::SeqCst);
+                    // Pinned: the builder never runs again, so an evicted
+                    // seed could not be rebuilt. Never persisted: the
+                    // builder is the durable copy.
+                    Ok(self.intern(program, true).0)
+                });
+                seed
             }
             ProgramRef::Fingerprint(fp) => self.get(*fp).ok_or_else(|| {
                 format!("no program with fingerprint fp:{fp:016x} is resident (upload it first)")
             }),
             ProgramRef::InlineAsm(source) => {
                 let program = dbt_riscv::parse_asm(source).map_err(|e| e.to_string())?;
-                let (fp, _) = self.intern(program);
-                Ok(self.get(fp).expect("just interned"))
+                Ok(self.intern(program, false).0)
             }
             ProgramRef::InlineImage(source) => {
                 let program = Program::from_image(source).map_err(|e| e.to_string())?;
-                let (fp, _) = self.intern(program);
-                Ok(self.get(fp).expect("just interned"))
+                Ok(self.intern(program, false).0)
             }
         }
     }
@@ -670,7 +536,7 @@ mod tests {
         let root = fresh_root("reseed");
         let fp = {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+            let store = ProgramStore::with_persist(tier);
             let (fp, dedup) = store.upload(tiny(1));
             assert!(!dedup);
             fp
@@ -678,7 +544,7 @@ mod tests {
         // A restarted store over the same root: boot re-seed restores
         // the upload, upload/dedup counters stay untouched.
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_persist(Arc::clone(&tier));
         assert_eq!(store.reseed_from_persist(), 1);
         assert_eq!(store.reseed_from_persist(), 0, "a second re-seed finds everything resident");
         let stats = store.stats();
@@ -699,11 +565,11 @@ mod tests {
         let root = fresh_root("readthrough");
         let fp = {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+            let store = ProgramStore::with_persist(tier);
             store.upload(tiny(2)).0
         };
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+        let store = ProgramStore::with_persist(tier);
         assert_eq!(store.stats().programs, 0);
         let program = store.get(fp).expect("a persisted image answers a cold get");
         assert_eq!(program.fingerprint(), fp);
@@ -719,7 +585,7 @@ mod tests {
         // one whose image decodes to a different fingerprint.
         assert!(tier.put(PROG_KIND, &prog_key_hex(0xdead), b"not an image"));
         assert!(tier.put(PROG_KIND, &prog_key_hex(0xbeef), tiny(3).to_image().as_bytes()));
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_persist(Arc::clone(&tier));
         assert_eq!(store.reseed_from_persist(), 0);
         assert!(store.get(0xdead).is_none());
         assert!(store.get(0xbeef).is_none());
@@ -732,7 +598,7 @@ mod tests {
     fn registry_seeds_are_never_published() {
         let root = fresh_root("seeds");
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_persist(Arc::clone(&tier));
         store.register("tiny", || Ok(tiny(7)));
         let _ = store.resolve(&ProgramRef::parse("tiny").unwrap()).unwrap();
         assert_eq!(tier.stats().writes, 0, "builders are the durable copy of registry seeds");
