@@ -129,12 +129,19 @@ pub fn generate(
     while bundles.last().is_some_and(|b| b.slots.is_empty()) {
         bundles.pop();
     }
+    // Translations outlive the compile in the shared service, so they keep
+    // no growth slack.
+    for bundle in &mut bundles {
+        bundle.slots.shrink_to_fit();
+    }
+    bundles.shrink_to_fit();
 
-    let recovery: Vec<Op> = block
+    let mut recovery: Vec<Op> = block
         .insts()
         .iter()
         .filter_map(|inst| lower(block, graph, schedule, alloc, inst.id, true))
         .collect();
+    recovery.shrink_to_fit();
 
     let guest_inst_count = block.insts().iter().map(|i| i.original_seq + 1).max().unwrap_or(0);
 

@@ -111,15 +111,7 @@ pub struct DbtEngine {
     summary: MitigationSummary,
     reports: Vec<(u64, MitigationReport)>,
     stats: EngineStats,
-    service: Option<ServiceBinding>,
-}
-
-/// A [`TranslationService`] attachment: the shared memo plus the identity
-/// of the program this engine translates.
-#[derive(Debug, Clone)]
-struct ServiceBinding {
-    service: Arc<TranslationService>,
-    program_fingerprint: u64,
+    service: Option<Arc<TranslationService>>,
 }
 
 impl DbtEngine {
@@ -145,8 +137,8 @@ impl DbtEngine {
     }
 
     /// Creates an engine that resolves translations through a shared
-    /// [`TranslationService`], memoized under `program_fingerprint` (see
-    /// [`dbt_riscv::Program::fingerprint`]).
+    /// [`TranslationService`], whose products are keyed by block content
+    /// and so shared with every other engine on the same service.
     ///
     /// Attaching a service never changes what a run computes — memoized
     /// products are pure functions of the same inputs a local compile would
@@ -156,19 +148,13 @@ impl DbtEngine {
     ///
     /// Panics if the configuration is out of range (see
     /// [`DbtConfig::is_valid`]).
-    pub fn with_service(
-        config: DbtConfig,
-        service: Arc<TranslationService>,
-        program_fingerprint: u64,
-    ) -> DbtEngine {
-        let mut engine = DbtEngine::new(config);
-        engine.service = Some(ServiceBinding { service, program_fingerprint });
-        engine
+    pub fn with_service(config: DbtConfig, service: Arc<TranslationService>) -> DbtEngine {
+        DbtEngine { service: Some(service), ..DbtEngine::new(config) }
     }
 
     /// The attached translation service, if any.
     pub fn service(&self) -> Option<&Arc<TranslationService>> {
-        self.service.as_ref().map(|binding| &binding.service)
+        self.service.as_ref()
     }
 
     /// The engine configuration.
@@ -207,13 +193,8 @@ impl DbtEngine {
     /// identical either way, since both paths run the same pure pipeline.
     fn obtain(&mut self, path: &GuestPath, kind: BlockKind) -> Result<CompileProduct, DbtError> {
         let product = match &self.service {
-            Some(binding) => {
-                let translated = binding.service.translate(
-                    binding.program_fingerprint,
-                    &self.config,
-                    path,
-                    kind,
-                )?;
+            Some(service) => {
+                let translated = service.translate(&self.config, path, kind)?;
                 if translated.cache_hit {
                     self.stats.service_hits += 1;
                 } else {

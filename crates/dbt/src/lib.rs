@@ -23,7 +23,7 @@
 //! The main entry point is [`DbtEngine`]. Engines created through
 //! [`DbtEngine::with_service`] share a process-wide, thread-safe
 //! [`TranslationService`]: a memoizing query layer that compiles each
-//! distinct (program, path, speculation options, policy, issue width)
+//! distinct (path content, speculation options, policy, issue width)
 //! translation exactly once and hands every later run the cached product,
 //! so a multi-policy sweep does not redo identical decode/trace/analysis
 //! work per run.

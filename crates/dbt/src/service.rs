@@ -1,6 +1,6 @@
 //! The cross-run translation service: a thread-safe, process-wide memo
-//! of translation products, shared by every engine that runs the same
-//! guest program.
+//! of translation products, shared by every engine that translates the
+//! same guest code.
 //!
 //! Translations are pure functions of their inputs, so, salsa-style, the
 //! service models the compile pipeline as two demand-driven queries and
@@ -16,14 +16,15 @@
 //!   speculate and take no mitigation, so their codegen is shared across
 //!   all policies as well.
 //!
-//! Both live in [`ContentCache`]s per program fingerprint (see
-//! [`Program::fingerprint`](dbt_riscv::Program)), under an outer cache that
-//! evicts least-recently-used *programs*. Every query resolves to exactly
-//! one compile process-wide, so hit/miss counters are deterministic for a
-//! given job list regardless of thread count — as long as the resident
-//! programs fit the capacity bound ([`DEFAULT_SERVICE_CAPACITY`] is far
-//! above any standard sweep); under concurrent eviction, the victim
-//! depends on thread timing and evicted programs re-miss.
+//! Both live in service-wide [`ContentCache`]s keyed by content alone, never
+//! by program: two programs that differ only in their data (or an edited
+//! re-upload that keeps a loop intact) share every identical block's
+//! products. Every query resolves to exactly one compile process-wide, so
+//! hit/miss counters are deterministic for a given job list regardless of
+//! thread count — as long as the resident products fit the capacity bound
+//! ([`DEFAULT_SERVICE_CAPACITY`] per cache, over 4× what a full paper-size
+//! sweep of every registry sweep produces); under concurrent eviction, the
+//! victim depends on thread timing and evicted products re-miss.
 
 use crate::codegen::generate;
 use crate::config::DbtConfig;
@@ -50,11 +51,11 @@ const VERDICT_KIND: &str = "verdict";
 /// Payload format version inside a `verdict` entry.
 const VERDICT_PAYLOAD_VERSION: u8 = 1;
 
-/// The durable-store key of a verdict: program fingerprint + analysis
-/// key (the analysis key covers the path content and the speculation
-/// options; the program fingerprint scopes it to its program).
-fn verdict_key_hex(program_fingerprint: u64, analysis_key: u64) -> String {
-    format!("{program_fingerprint:016x}{analysis_key:016x}")
+/// The durable-store key of a verdict: its analysis key, which covers the
+/// path content and the speculation options — everything the verdict is a
+/// function of.
+fn verdict_key_hex(analysis_key: u64) -> String {
+    format!("{analysis_key:016x}")
 }
 
 /// Binary payload of one leakage verdict (decoded by
@@ -138,25 +139,28 @@ fn decode_verdict(bytes: &[u8]) -> Option<LeakageVerdict> {
 const VERDICT_REJECTED: &str = "verdict payload contradicts the translated block";
 
 /// The verdict store seen through [`VERDICT_CODEC`].
-type VerdictTier = Tier<(u64, u64), LeakageVerdict>;
+type VerdictTier = Tier<u64, LeakageVerdict>;
 
-/// The service's durable codec: verdicts keyed by (program fingerprint,
-/// analysis key).
-const VERDICT_CODEC: Codec<(u64, u64), LeakageVerdict> = Codec {
+/// The service's durable codec: verdicts keyed by analysis key.
+const VERDICT_CODEC: Codec<u64, LeakageVerdict> = Codec {
     kind: VERDICT_KIND,
-    key_hex: |&(program, analysis)| verdict_key_hex(program, analysis),
+    key_hex: |&analysis| verdict_key_hex(analysis),
     encode: |verdict| Some(encode_verdict(verdict)),
     decode: |_, bytes| decode_verdict(bytes).ok_or(VERDICT_REJECTED.to_string()),
 };
 
-/// Result of the analysis query: the translated IR block, its unhardened
-/// dependency graph and, for optimised superblocks, the leakage verdict.
+/// Result of the analysis query: the translated IR block, the speculation
+/// options its dependency graph is built with and, for optimised
+/// superblocks, the leakage verdict.
 #[derive(Debug, Clone)]
 pub struct AnalysisProduct {
     /// The validated IR block the path translated to.
     pub ir: Arc<IrBlock>,
-    /// The dependency graph *before* any mitigation constrained it.
-    pub graph: Arc<DepGraph>,
+    /// The options of the unhardened dependency graph. The graph itself is
+    /// not kept: its edge list grows quadratically with superblock length,
+    /// and codegen — its only reader — rebuilds it in a fraction of the
+    /// compile.
+    pub options: DfgOptions,
     /// The speculative-taint verdict (`None` for basic-tier blocks, which
     /// never speculate and carry nothing to analyse).
     pub verdict: Option<Arc<LeakageVerdict>>,
@@ -199,9 +203,9 @@ pub struct ServiceStats {
     /// Queries that had to compile (equals the number of distinct
     /// translation products produced process-wide).
     pub misses: u64,
-    /// Program entries currently resident.
-    pub programs: usize,
-    /// Program entries evicted to honour the capacity bound.
+    /// Analysis and codegen products currently resident.
+    pub entries: usize,
+    /// Products evicted to honour the capacity bound.
     pub evictions: u64,
 }
 
@@ -228,12 +232,12 @@ impl ServiceStats {
             .counter("dbt_translate_misses_total", "Translation queries that had to compile.")
             .set(self.misses);
         registry
-            .gauge("dbt_translate_programs", "Program entries resident in the service.")
-            .set(self.programs as i64);
+            .gauge("dbt_translate_entries", "Translation products resident in the service.")
+            .set(self.entries as i64);
         registry
             .counter(
                 "dbt_translate_evictions_total",
-                "Program entries evicted to honour the capacity bound.",
+                "Translation products evicted to honour the capacity bound.",
             )
             .set(self.evictions);
     }
@@ -275,7 +279,7 @@ fn effective_options(config: &DbtConfig, kind: BlockKind) -> DfgOptions {
 /// Runs the analysis stage of the compile pipeline (translate, validate,
 /// dependency graph, taint verdict). Pure: depends only on its arguments.
 ///
-/// With a verdict tier (and the verdict's key), the taint verdict — the
+/// With a verdict tier (and the analysis key), the taint verdict — the
 /// expensive part — is read through from the tier and written behind when
 /// computed fresh. A persisted verdict whose entry pc or block length
 /// contradicts the freshly built block is quarantined and recomputed, so a
@@ -284,9 +288,10 @@ fn run_analysis(
     path: &GuestPath,
     kind: BlockKind,
     options: DfgOptions,
-    verdicts: Option<(&VerdictTier, (u64, u64))>,
+    verdicts: Option<(&VerdictTier, u64)>,
 ) -> Result<AnalysisProduct, DbtError> {
-    let block = translate_path(path, kind);
+    let mut block = translate_path(path, kind);
+    block.shrink_to_fit();
     block.validate().map_err(|reason| DbtError::InvalidBlock { pc: block.entry_pc(), reason })?;
     let graph = DepGraph::build(&block, options);
     // The taint analysis must see the original relaxable edges, so it runs
@@ -309,7 +314,7 @@ fn run_analysis(
         tier.write(&key, &verdict);
         Arc::new(verdict)
     });
-    Ok(AnalysisProduct { ir: Arc::new(block), graph: Arc::new(graph), verdict })
+    Ok(AnalysisProduct { ir: Arc::new(block), options, verdict })
 }
 
 /// Runs the codegen stage: mitigation (optimised blocks only), scheduling,
@@ -321,19 +326,15 @@ fn run_codegen(
     issue_width: usize,
 ) -> Result<CompileProduct, DbtError> {
     let block = &analysis.ir;
-    let (graph, analysed) = match &analysis.verdict {
-        Some(verdict) => {
-            let mut graph = (*analysis.graph).clone();
-            let report = apply_with_verdict(block, &mut graph, policy, Some(verdict));
-            let analysed = AnalysedProduct {
-                ir: Arc::clone(block),
-                verdict: Arc::clone(verdict),
-                report: Arc::new(report),
-            };
-            (std::borrow::Cow::Owned(graph), Some(analysed))
+    let mut graph = DepGraph::build(block, analysis.options);
+    let analysed = analysis.verdict.as_ref().map(|verdict| {
+        let report = apply_with_verdict(block, &mut graph, policy, Some(verdict));
+        AnalysedProduct {
+            ir: Arc::clone(block),
+            verdict: Arc::clone(verdict),
+            report: Arc::new(report),
         }
-        None => (std::borrow::Cow::Borrowed(&*analysis.graph), None),
-    };
+    });
     let sched = schedule(block, &graph, issue_width)?;
     let alloc = RegAlloc::allocate(block);
     let code = generate(block, &graph, &sched, &alloc);
@@ -349,14 +350,6 @@ pub(crate) fn compile_path(
 ) -> Result<CompileProduct, DbtError> {
     let analysis = run_analysis(path, kind, effective_options(config, kind), None)?;
     run_codegen(&analysis, config.policy, config.issue_width)
-}
-
-/// Memoized queries of one guest program. Both caches count into the
-/// service's query counters, which outlive any evicted program.
-#[derive(Debug)]
-struct ProgramQueries {
-    analyses: ContentCache<u64, Result<AnalysisProduct, DbtError>>,
-    codegens: ContentCache<u64, Result<CompileProduct, DbtError>>,
 }
 
 /// Phase-timing histograms of services built with
@@ -386,28 +379,35 @@ impl ServiceMetrics {
 /// The memoizing, thread-safe translation query layer.
 ///
 /// Construct one per process (or per sweep, for deterministic per-sweep
-/// counters) and hand it to every run of the same programs:
+/// counters) and hand it to every run:
 ///
 /// ```
 /// use dbt_engine::{DbtConfig, DbtEngine, TranslationService};
 ///
 /// let service = TranslationService::new();
-/// let fingerprint = 0x1234; // Program::fingerprint() of the guest program
-/// let engine = DbtEngine::with_service(DbtConfig::selective(), service.clone(), fingerprint);
+/// let engine = DbtEngine::with_service(DbtConfig::selective(), service.clone());
 /// assert_eq!(service.stats().misses, 0, "nothing translated yet");
 /// # let _ = engine;
 /// ```
 #[derive(Debug)]
 pub struct TranslationService {
-    programs: ContentCache<u64, Arc<ProgramQueries>>,
+    /// Analysis products by analysis key (path content + speculation
+    /// options).
+    analyses: ContentCache<u64, Result<AnalysisProduct, DbtError>>,
+    /// Codegen products by codegen key (analysis key + policy + issue
+    /// width).
+    codegens: ContentCache<u64, Result<CompileProduct, DbtError>>,
+    /// The query counters both caches count into.
     queries: Arc<CacheCounters>,
     metrics: Option<ServiceMetrics>,
     verdicts: Option<VerdictTier>,
 }
 
-/// Default bound on resident program entries: far above any standard sweep,
-/// so eviction only engages in genuinely long-lived services.
-pub const DEFAULT_SERVICE_CAPACITY: usize = 128;
+/// Default bound on resident products per cache (analyses and codegens
+/// each). One paper-size pass of every registry sweep through one service
+/// compiles 977 distinct products, so this leaves over 4× headroom and
+/// eviction only engages in genuinely long-lived services.
+pub const DEFAULT_SERVICE_CAPACITY: usize = 4096;
 
 impl TranslationService {
     /// A service with the default capacity.
@@ -415,8 +415,8 @@ impl TranslationService {
         TranslationService::with_capacity(DEFAULT_SERVICE_CAPACITY)
     }
 
-    /// A service bounded to `capacity` resident program entries (least
-    /// recently used programs are evicted beyond that).
+    /// A service bounded to `capacity` resident products per cache (least
+    /// recently used products are evicted beyond that).
     ///
     /// # Panics
     ///
@@ -443,7 +443,7 @@ impl TranslationService {
     /// [`TranslationService::with_metrics`] plus a durable tier for the
     /// expensive analysis artifact: the `spectaint` leakage verdict of
     /// every optimised superblock is read through from (and written
-    /// behind to) `persist`, keyed by program fingerprint + analysis key,
+    /// behind to) `persist`, keyed by the analysis key,
     /// so a restarted daemon skips the taint analysis while producing
     /// byte-identical products.
     pub fn with_metrics_and_persist(
@@ -462,9 +462,11 @@ impl TranslationService {
         metrics: Option<ServiceMetrics>,
         persist: Option<Arc<PersistStore>>,
     ) -> Arc<TranslationService> {
+        let queries = Arc::<CacheCounters>::default();
         Arc::new(TranslationService {
-            programs: ContentCache::new(capacity),
-            queries: Arc::default(),
+            analyses: ContentCache::new(capacity).with_counters(Arc::clone(&queries)),
+            codegens: ContentCache::new(capacity).with_counters(Arc::clone(&queries)),
+            queries,
             metrics,
             verdicts: persist.map(|store| Tier::new(store, VERDICT_CODEC)),
         })
@@ -473,30 +475,28 @@ impl TranslationService {
     /// Snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
         let (hits, misses) = self.queries.hits_and_misses();
-        let programs = self.programs.stats();
-        ServiceStats { hits, misses, programs: programs.entries, evictions: programs.evictions }
+        let (analyses, codegens) = (self.analyses.stats(), self.codegens.stats());
+        ServiceStats {
+            hits,
+            misses,
+            entries: analyses.entries + codegens.entries,
+            evictions: analyses.evictions + codegens.evictions,
+        }
     }
 
-    /// Translates `path` for the program identified by `program_fingerprint`
-    /// under `config`, reusing memoized analysis and codegen products
-    /// whenever their inputs match.
+    /// Translates `path` under `config`, reusing memoized analysis and
+    /// codegen products whenever their inputs match — whichever program the
+    /// path came from.
     ///
     /// # Errors
     ///
     /// Returns the (memoized) [`DbtError`] of the failing compile stage.
     pub fn translate(
         &self,
-        program_fingerprint: u64,
         config: &DbtConfig,
         path: &GuestPath,
         kind: BlockKind,
     ) -> Result<Translated, DbtError> {
-        let (entry, _) = self.programs.get_or_fill(program_fingerprint, || {
-            Arc::new(ProgramQueries {
-                analyses: ContentCache::new(usize::MAX).with_counters(Arc::clone(&self.queries)),
-                codegens: ContentCache::new(usize::MAX).with_counters(Arc::clone(&self.queries)),
-            })
-        });
         let options = effective_options(config, kind);
         let optimised = matches!(kind, BlockKind::Superblock { .. });
         let path_fp = path_fingerprint(path, kind);
@@ -505,12 +505,11 @@ impl TranslationService {
         // its key and every policy shares the product.
         let policy = optimised.then_some(config.policy);
         let codegen_key = hash64(&(analysis_key, policy, config.issue_width));
-        let (product, cache_hit) = entry.codegens.get_or_fill(codegen_key, || {
-            let (analysis, _) = entry.analyses.get_or_fill(analysis_key, || {
+        let (product, cache_hit) = self.codegens.get_or_fill(codegen_key, || {
+            let (analysis, _) = self.analyses.get_or_fill(analysis_key, || {
                 let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
                 let _stage = StageSpan::enter("translate.analysis");
-                let verdict_tier = self.verdicts.as_ref();
-                let verdicts = verdict_tier.map(|tier| (tier, (program_fingerprint, analysis_key)));
+                let verdicts = self.verdicts.as_ref().map(|tier| (tier, analysis_key));
                 run_analysis(path, kind, options, verdicts)
             });
             let analysis = analysis?;
@@ -550,11 +549,9 @@ mod tests {
         let (mem, entry) = straightline_memory();
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
-        let first =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+        let first = service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         assert!(!first.cache_hit);
-        let second =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+        let second = service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         assert!(second.cache_hit);
         assert_eq!(first.product.code, second.product.code);
         assert!(Arc::ptr_eq(&first.product.code, &second.product.code), "products are shared");
@@ -569,9 +566,9 @@ mod tests {
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
         let unprotected =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         let selective =
-            service.translate(1, &DbtConfig::selective(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::selective(), &path, BlockKind::Basic).unwrap();
         assert!(!unprotected.cache_hit);
         assert!(
             selective.cache_hit,
@@ -580,7 +577,7 @@ mod tests {
         // Disabling speculation still shares basic-tier products: the first
         // pass is conservative under every config.
         let nospec =
-            service.translate(1, &DbtConfig::no_speculation(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::no_speculation(), &path, BlockKind::Basic).unwrap();
         assert!(nospec.cache_hit);
     }
 
@@ -591,27 +588,31 @@ mod tests {
         let path = basic_path(&mem, entry);
         let config = DbtConfig::fine_grained();
         let fresh = compile_path(&config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let memoized = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let memoized = service.translate(&config, &path, BlockKind::Basic).unwrap();
         assert!(memoized.cache_hit);
         assert_eq!(*fresh.code, *memoized.product.code);
     }
 
     #[test]
-    fn capacity_bound_evicts_the_least_recently_used_program() {
+    fn capacity_bound_evicts_the_least_recently_used_entry() {
         let (mem, entry) = straightline_memory();
         let service = TranslationService::with_capacity(2);
-        let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        for program in 1..=3u64 {
-            let _ = service.translate(program, &config, &path, BlockKind::Basic).unwrap();
+        // The straight line from each of the first three instructions:
+        // three distinct paths, one product per cache each.
+        let paths: Vec<GuestPath> =
+            [entry, entry + 4, entry + 8].iter().map(|&pc| basic_path(&mem, pc)).collect();
+        for path in &paths {
+            let _ = service.translate(&config, path, BlockKind::Basic).unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.programs, 2, "capacity bound holds");
-        assert_eq!(stats.evictions, 1);
-        // Program 1 was the least recently used and must re-translate.
-        let again = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        assert!(!again.cache_hit);
+        assert_eq!(stats.entries, 4, "two products per cache: the bound holds");
+        assert_eq!(stats.evictions, 2, "one analysis and one codegen evicted");
+        // The first path was the least recently used and must re-translate;
+        // the last one is still resident.
+        assert!(service.translate(&config, &paths[2], BlockKind::Basic).unwrap().cache_hit);
+        assert!(!service.translate(&config, &paths[0], BlockKind::Basic).unwrap().cache_hit);
     }
 
     #[test]
@@ -621,8 +622,8 @@ mod tests {
         let service = TranslationService::with_metrics(&registry);
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
         let text = registry.render();
         assert!(
             text.contains("dbt_translate_phase_seconds_count{phase=\"analysis\"} 1"),
@@ -696,7 +697,7 @@ mod tests {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
             let registry = MetricsRegistry::new();
             let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
-            let first = service.translate(1, &config, &path, kind).unwrap();
+            let first = service.translate(&config, &path, kind).unwrap();
             assert_eq!(tier.stats().writes, 1, "the superblock verdict was published");
             first
         };
@@ -705,7 +706,7 @@ mod tests {
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let registry = MetricsRegistry::new();
         let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
-        let second = service.translate(1, &config, &path, kind).unwrap();
+        let second = service.translate(&config, &path, kind).unwrap();
         assert!(!second.cache_hit, "the in-memory memo is cold after a restart");
         assert_eq!(tier.stats().hits, 1, "the verdict came from disk");
         assert_eq!(tier.stats().writes, 0, "a disk hit is not re-published");
@@ -715,7 +716,7 @@ mod tests {
         assert_eq!(a.report, b.report);
         // Basic-tier blocks carry no verdict and never touch the disk.
         let writes = tier.stats().writes;
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
         assert_eq!(tier.stats().writes, writes);
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -732,7 +733,7 @@ mod tests {
         // the translation will ask for.
         let options = effective_options(&config, kind);
         let analysis_key = hash64(&(path_fingerprint(&path, kind), options));
-        let key = verdict_key_hex(1, analysis_key);
+        let key = verdict_key_hex(analysis_key);
         let wrong = LeakageVerdict {
             entry_pc: 0xbad,
             block_len: 999,
@@ -744,7 +745,7 @@ mod tests {
         assert!(tier.put(VERDICT_KIND, &key, &encode_verdict(&wrong)));
         let registry = MetricsRegistry::new();
         let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
-        let translated = service.translate(1, &config, &path, kind).unwrap();
+        let translated = service.translate(&config, &path, kind).unwrap();
         let verdict = translated.product.analysed.unwrap().verdict;
         assert_ne!(verdict.entry_pc, 0xbad, "the planted verdict was not believed");
         assert_eq!(tier.stats().corrupt_quarantined, 1);
@@ -760,13 +761,13 @@ mod tests {
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
         service.stats().export(&registry);
         let text = registry.render();
         assert!(text.contains("dbt_translate_hits_total 1"), "{text}");
         assert!(text.contains("dbt_translate_misses_total 2"), "{text}");
-        assert!(text.contains("dbt_translate_programs 1"), "{text}");
+        assert!(text.contains("dbt_translate_entries 2"), "one analysis and one codegen: {text}");
         assert!(text.contains("dbt_translate_evictions_total 0"), "{text}");
     }
 }

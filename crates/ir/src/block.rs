@@ -58,6 +58,12 @@ impl IrBlock {
         self.kind
     }
 
+    /// Releases the instruction list's growth slack (for blocks kept
+    /// long after they are built).
+    pub fn shrink_to_fit(&mut self) {
+        self.insts.shrink_to_fit();
+    }
+
     /// Appends an instruction and returns its id.
     pub fn push(&mut self, op: IrOp, guest_pc: u64, original_seq: usize) -> InstId {
         let id = InstId(self.insts.len());

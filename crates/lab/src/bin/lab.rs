@@ -1289,9 +1289,13 @@ fn cmd_router_bench(args: &Args) -> Result<(), String> {
             outcome.requests_per_sec(),
         ));
     }
+    // The host's CPU count bounds what more backends can buy: on 2 CPUs,
+    // 4 in-process daemons cannot beat 1. Host-dependent, like the
+    // wall-clock members, so it sits on a line of its own.
+    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let report = format!(
-        "{{\n  \"schema\": \"dbt-router/scaling/v1\",\n  \"clients\": {},\n  \
-         \"iterations\": {},\n  \"request_mix\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"dbt-router/scaling/v1\",\n  \"host_cpus\": {host_cpus},\n  \
+         \"clients\": {},\n  \"iterations\": {},\n  \"request_mix\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         args.clients,
         args.iterations,
         requests.len(),

@@ -32,13 +32,20 @@ use crate::profile::profile_built;
 use crate::registry::Registry;
 use crate::scenario::{PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind};
 use dbt_obs::{EventLog, LogLevel, MetricsRegistry};
-use dbt_persist::{PersistEvent, PersistStats, PersistStore};
+use dbt_persist::{ContentCache, PersistEvent, PersistStats, PersistStore};
 use dbt_platform::{ProgramRef, ProgramStore, RunMemo, TranslationService};
 use dbt_riscv::Program;
 use dbt_serve::{LabBackend, ProgramSource, RunKnobs};
 use dbt_workloads::WorkloadSize;
 use ghostbusters::MitigationPolicy;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Bound on memoized `analyze` answers: room for every registry program
+/// many times over, while a stream of one-off uploads stays capped at a
+/// few MiB of reports.
+const ANALYZE_MEMO_CAPACITY: usize = 256;
 
 /// Cuts a lab report JSON at its `stats` block.
 ///
@@ -63,6 +70,10 @@ pub struct LabDaemon {
     service: Arc<TranslationService>,
     memo: Arc<RunMemo>,
     store: Arc<ProgramStore>,
+    /// `analyze` answers by hash of (report label, program fingerprint):
+    /// a report is a pure function of both, and computing one runs a
+    /// whole fresh session.
+    analyses: ContentCache<u64, Result<String, String>>,
     /// The daemon's own metric registry: translation phase histograms,
     /// the executor's simulate span, and — mirrored at scrape time — the
     /// cache/service counters `stats_json` reports. Per daemon, not
@@ -191,6 +202,7 @@ impl LabDaemon {
             service,
             memo,
             store,
+            analyses: ContentCache::new(ANALYZE_MEMO_CAPACITY),
             obs,
             persist,
             events,
@@ -312,7 +324,12 @@ impl LabBackend for LabDaemon {
 
     fn analyze(&self, program: &str) -> Result<String, String> {
         let (label, program) = self.resolve_ref(program)?;
-        analyze_built(&label, &program).map(|report| report.to_json())
+        let mut hasher = DefaultHasher::new();
+        (&label, program.fingerprint()).hash(&mut hasher);
+        let (report, _) = self.analyses.get_or_fill(hasher.finish(), || {
+            analyze_built(&label, &program).map(|report| report.to_json())
+        });
+        report
     }
 
     fn upload(&self, source: &ProgramSource) -> Result<String, String> {
@@ -362,11 +379,11 @@ impl LabBackend for LabDaemon {
         let service = self.service.stats();
         format!(
             "{{\"run_memo\": {}, \"translation\": {{\"hits\": {}, \"misses\": {}, \
-             \"programs\": {}, \"evictions\": {}}}, \"store\": {}, \"persist\": {}}}",
+             \"entries\": {}, \"evictions\": {}}}, \"store\": {}, \"persist\": {}}}",
             memo.to_json(),
             service.hits,
             service.misses,
-            service.programs,
+            service.entries,
             service.evictions,
             self.store.stats().to_json(),
             self.persist_stats_json()
@@ -654,6 +671,21 @@ mod tests {
         assert_eq!(daemon.store().stats().seeded, 1, "one lazy seed for both forms");
     }
 
+    #[test]
+    fn repeated_analyze_requests_are_answered_from_the_memo() {
+        let daemon = LabDaemon::new(WorkloadSize::Mini);
+        let cli = analyze_program("spectre-v1", WorkloadSize::Mini).unwrap().to_json();
+        let first = daemon.analyze("spectre-v1").unwrap();
+        let second = daemon.analyze("spectre-v1").unwrap();
+        let stats = daemon.analyses.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "the repeat ran no session");
+        assert_eq!(first, cli, "a fresh answer matches the CLI to the byte");
+        assert_eq!(second, cli, "and so does the memoized one");
+        // Errors are answers too, but unresolvable refs never reach the memo.
+        assert!(daemon.analyze("no-such-program").is_err());
+        assert_eq!(daemon.analyses.stats().entries, 1);
+    }
+
     /// Extracts the value of the sample line starting with `prefix ` from
     /// a Prometheus exposition (pass `name{labels}` for labelled samples).
     fn sample(text: &str, prefix: &str) -> u64 {
@@ -694,7 +726,7 @@ mod tests {
             ("dbt_runmemo_evictions_total", ["run_memo", "evictions"]),
             ("dbt_translate_hits_total", ["translation", "hits"]),
             ("dbt_translate_misses_total", ["translation", "misses"]),
-            ("dbt_translate_programs", ["translation", "programs"]),
+            ("dbt_translate_entries", ["translation", "entries"]),
             ("dbt_translate_evictions_total", ["translation", "evictions"]),
             ("dbt_store_programs", ["store", "programs"]),
             ("dbt_store_uploads_total", ["store", "uploads"]),

@@ -195,7 +195,7 @@ impl DbtProcessor {
         // top of guest memory.
         core.arch_mut().set_reg(Reg::SP, (memory.len() as u64) & !0xf);
         let engine = match service {
-            Some(service) => DbtEngine::with_service(config.dbt, service, program.fingerprint()),
+            Some(service) => DbtEngine::with_service(config.dbt, service),
             None => DbtEngine::new(config.dbt),
         };
         Ok(DbtProcessor { program: program.clone(), config, engine, core, memory })

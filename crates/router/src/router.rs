@@ -52,10 +52,11 @@ use dbt_obs::{
 };
 use dbt_serve::json::escape;
 use dbt_serve::{
-    read_frame, Frame, FrameMeta, JsonValue, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+    read_frame, write_frame, Frame, FrameMeta, JsonValue, Request, Response,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -125,14 +126,14 @@ struct Conn {
 impl Conn {
     fn open(addr: SocketAddr) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Conn { reader: BufReader::new(stream), writer })
     }
 
     /// Sends one frame line and reads one response line.
     fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line)?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(std::io::Error::new(
@@ -985,9 +986,9 @@ fn is_lifecycle_refusal(reply: &str) -> bool {
 fn probe_once(addr: SocketAddr, timeout: Duration) -> std::io::Result<()> {
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    writeln!(writer, "{}", Request::Health.encode())?;
-    writer.flush()?;
+    write_frame(&mut writer, &Request::Health.encode())?;
     let mut line = String::new();
     if BufReader::new(stream).read_line(&mut line)? == 0 {
         return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no health answer"));
@@ -1008,7 +1009,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Frame::Eof => return,
             Frame::TooLong(error) | Frame::Fatal(error) => {
                 let frame = Response::Error { op: "invalid".to_string(), error }.encode();
-                let _ = writeln!(writer, "{frame}").and_then(|()| writer.flush());
+                let _ = write_frame(&mut writer, &frame);
                 return;
             }
             Frame::Line(line) => line,
@@ -1017,7 +1018,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             continue;
         }
         let (frame, stop) = shared.respond(&line, &mut conn);
-        if writeln!(writer, "{frame}").and_then(|()| writer.flush()).is_err() {
+        if write_frame(&mut writer, &frame).is_err() {
             return;
         }
         if stop {
@@ -1178,6 +1179,7 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            let _ = stream.set_nodelay(true);
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || handle_connection(stream, &shared));
         })

@@ -12,7 +12,8 @@
 //! `read_line`.
 
 use crate::protocol::{FrameMeta, Request, Response};
-use std::io::{BufRead, BufReader, Write};
+use crate::server::write_frame;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -80,6 +81,7 @@ impl Client {
             match TcpStream::connect(&addr) {
                 Ok(stream) => {
                     stream.set_read_timeout(opts.read_timeout)?;
+                    stream.set_nodelay(true)?;
                     let writer = stream.try_clone()?;
                     return Ok(Client { reader: BufReader::new(stream), writer });
                 }
@@ -157,9 +159,7 @@ impl Client {
 
     /// [`Client::raw_request`], keeping the echoed `trace_id`.
     fn raw_request_traced(&mut self, line: &str) -> Result<(Response, Option<String>), String> {
-        writeln!(self.writer, "{line}")
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("cannot send request: {e}"))?;
+        write_frame(&mut self.writer, line).map_err(|e| format!("cannot send request: {e}"))?;
         let mut reply = String::new();
         let read =
             self.reader.read_line(&mut reply).map_err(|e| format!("cannot read response: {e}"))?;

@@ -54,6 +54,6 @@ pub use loadgen::{drive, LoadOptions, LoadOutcome, OpLatency};
 pub use protocol::{FrameMeta, ProgramSource, Request, Response, RunKnobs, DEFAULT_RUN_POLICY};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
-    read_frame, serve, serve_with_clock, Frame, LabBackend, ServerConfig, ServerHandle,
-    DEFAULT_MAX_FRAME_BYTES, TRACE_LOG_CAPACITY,
+    read_frame, serve, serve_with_clock, write_frame, Frame, LabBackend, ServerConfig,
+    ServerHandle, DEFAULT_MAX_FRAME_BYTES, TRACE_LOG_CAPACITY,
 };

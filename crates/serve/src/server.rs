@@ -629,6 +629,22 @@ pub enum Frame {
     Fatal(String),
 }
 
+/// Sends `frame` and its terminating `'\n'` with a single `write_all`, then
+/// flushes. Every NDJSON peer in the repo writes through this: a frame sent
+/// as two writes (body, then newline) meets Nagle's algorithm on the second
+/// one and waits out the peer's delayed ACK, about 40 ms per hop.
+///
+/// # Errors
+///
+/// Propagates the I/O error of the write or the flush.
+pub fn write_frame(writer: &mut impl Write, frame: &str) -> std::io::Result<()> {
+    let mut line = String::with_capacity(frame.len() + 1);
+    line.push_str(frame);
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 /// Reads one newline-terminated frame, never buffering more than
 /// `max_bytes` of it.
 pub fn read_frame(reader: &mut BufReader<TcpStream>, max_bytes: usize) -> Frame {
@@ -701,7 +717,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         frame_seq += 1;
         let (frame, stop) = shared.respond(&line, generated);
         shared.metrics.bytes_written.add(frame.len() as u64 + 1);
-        if writeln!(writer, "{frame}").and_then(|()| writer.flush()).is_err() {
+        if write_frame(&mut writer, &frame).is_err() {
             return;
         }
         if stop {
@@ -715,7 +731,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn send_fatal(writer: &mut TcpStream, shared: &Shared, error: String) {
     let frame = Response::Error { op: "invalid".to_string(), error }.encode();
     shared.metrics.bytes_written.add(frame.len() as u64 + 1);
-    let _ = writeln!(writer, "{frame}").and_then(|()| writer.flush());
+    let _ = write_frame(writer, &frame);
 }
 
 /// Starts the daemon on `addr` (use port `0` for an ephemeral port; the
@@ -855,6 +871,7 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            let _ = stream.set_nodelay(true);
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || handle_connection(stream, &shared));
         })
@@ -895,6 +912,36 @@ mod tests {
 
     fn run_request(name: &str) -> Request {
         Request::Run { scenario: name.to_string() }
+    }
+
+    /// A sink that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let mut sink = CountingWriter::default();
+        let frames = [Request::Health.encode(), "{\"status\": \"ok\"}".to_string(), String::new()];
+        for (sent, frame) in frames.iter().enumerate() {
+            write_frame(&mut sink, frame).unwrap();
+            assert_eq!(sink.writes, sent + 1, "body and newline leave in one write");
+        }
+        let expected: String = frames.iter().map(|frame| format!("{frame}\n")).collect();
+        assert_eq!(String::from_utf8(sink.bytes).unwrap(), expected);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use dbt_serve::{
     ServerConfig, ServerHandle,
 };
 use dbt_workloads::WorkloadSize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `n` daemons on ephemeral ports behind a router with `config`.
 fn fleet(n: usize, config: RouterConfig) -> (Vec<ServerHandle>, RouterHandle) {
@@ -165,11 +166,12 @@ fn uploads_through_the_router_resolve_on_every_shard() {
 
 #[test]
 fn killing_a_backend_mid_load_loses_no_requests() {
+    let probe_interval = Duration::from_millis(100);
     let (mut daemons, router) = fleet(
         2,
         RouterConfig {
             retry_backoff: Duration::from_millis(2),
-            probe_interval: Duration::from_millis(100),
+            probe_interval,
             ..RouterConfig::default()
         },
     );
@@ -179,26 +181,46 @@ fn killing_a_backend_mid_load_loses_no_requests() {
     // Kill one backend while four clients hammer the router. The router
     // retries refused connections and shutdown refusals on the surviving
     // backend, so the clients see only `ok` (or honest `busy`) — never a
-    // transport error or a divergent body.
+    // transport error or a divergent body. The kill is triggered by load
+    // progress, not by a timer: after the 10th of 120 answers, so most of
+    // the load still runs against the shrunken fleet however fast the
+    // transport is.
+    let (kill, killed) = std::sync::mpsc::channel();
+    let answered = AtomicUsize::new(0);
     let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(150));
-        victim.shutdown();
-        victim.wait();
+        if killed.recv().is_ok() {
+            victim.shutdown();
+            victim.wait();
+        }
     });
+    let normalize = |_: &Request, body: &str| {
+        if answered.fetch_add(1, Ordering::SeqCst) + 1 == 10 {
+            let _ = kill.send(());
+        }
+        strip_stats(body)
+    };
     let outcome =
-        drive(addr, &request_mix(), LoadOptions { clients: 4, iterations: 6 }, &|_, body| {
-            strip_stats(body)
-        })
-        .expect("loadgen through the router");
+        drive(addr, &request_mix(), LoadOptions { clients: 4, iterations: 6 }, &normalize)
+            .expect("loadgen through the router");
+    // Should the kill never have fired, release the killer anyway.
+    drop(kill);
     killer.join().expect("killer thread");
 
     assert_eq!(outcome.errors, 0, "failover must hide the dead backend: {outcome:?}");
     assert_eq!(outcome.mismatches, 0, "failover answers must stay byte-identical");
     assert_eq!(outcome.ok + outcome.busy, outcome.requests, "every request answers: {outcome:?}");
 
-    // The survivor still answers through the router afterwards.
+    // The survivor still answers through the router afterwards, and the
+    // prober marks the victim down within a bounded number of intervals.
     let mut client = Client::connect(addr).expect("connect");
-    let health = ok_body(client.request(&Request::Health).expect("transport"));
+    let deadline = Instant::now() + 20 * probe_interval;
+    let health = loop {
+        let health = ok_body(client.request(&Request::Health).expect("transport"));
+        if health.contains("\"up\": 1") || Instant::now() >= deadline {
+            break health;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
     assert!(health.contains("\"up\": 1"), "{health}");
 
     stop(daemons, router);
